@@ -24,6 +24,7 @@ import (
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/cluster"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -88,8 +89,8 @@ func startChurnNode(ln net.Listener, self cluster.Node, members []cluster.Node) 
 	srv, err := serve.New(serve.Config{
 		Store:   st,
 		Workers: 2,
-		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
-			return &serve.ResultBundle{
+		Compute: func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
+			return &sched.ResultBundle{
 				Output: fmt.Sprintf("churn output for %s threads=%d\n", spec.Experiment, spec.Threads),
 			}, nil
 		},

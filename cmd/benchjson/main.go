@@ -35,6 +35,7 @@ import (
 
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 	"sgxbounds/internal/stress"
 	"sgxbounds/internal/workloads"
@@ -219,15 +220,15 @@ func measureServe(experiment string, parallel int) (*ServeResult, error) {
 	}
 	defer srv.Shutdown(context.Background())
 
-	runOnce := func() (serve.JobStatus, time.Duration, error) {
+	runOnce := func() (sched.JobStatus, time.Duration, error) {
 		start := time.Now()
-		j, err := srv.Submit(serve.SubmitRequest{Experiment: experiment})
+		j, err := srv.Submit(sched.SubmitRequest{Experiment: experiment})
 		if err != nil {
-			return serve.JobStatus{}, 0, err
+			return sched.JobStatus{}, 0, err
 		}
 		<-j.Done()
 		stat := j.Status()
-		if stat.State != serve.StateDone {
+		if stat.State != sched.StateDone {
 			return stat, 0, fmt.Errorf("job %s ended %s: %s", stat.ID, stat.State, stat.Error)
 		}
 		return stat, time.Since(start), nil

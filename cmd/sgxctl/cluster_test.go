@@ -14,6 +14,7 @@ import (
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/cluster"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -39,8 +40,8 @@ func newClusterPair(t *testing.T) (urls [2]string) {
 		}
 		srv, err := serve.New(serve.Config{
 			Store: st,
-			Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
-				return &serve.ResultBundle{Output: "golden\n"}, nil
+			Compute: func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
+				return &sched.ResultBundle{Output: "golden\n"}, nil
 			},
 			Cluster: &serve.ClusterConfig{
 				Self:      members[i].ID,

@@ -47,6 +47,7 @@ import (
 
 	"sgxbounds/internal/cluster"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 )
 
 func main() {
@@ -210,7 +211,7 @@ func (c *client) submit(args []string) error {
 	} else if fs.NArg() != 0 || experiment == "" {
 		return fmt.Errorf("usage: submit <experiment> [flags]")
 	}
-	req := serve.SubmitRequest{
+	req := sched.SubmitRequest{
 		Experiment: experiment,
 		Threads:    *threads,
 		Requests:   *requests,
@@ -223,7 +224,7 @@ func (c *client) submit(args []string) error {
 		Trace:      *trace,
 		Force:      *force,
 	}
-	var st serve.JobStatus
+	var st sched.JobStatus
 	if err := c.api(http.MethodPost, "/api/v1/jobs", req, &st); err != nil {
 		return err
 	}
@@ -240,12 +241,12 @@ func splitList(s string) []string {
 	return strings.Split(s, ",")
 }
 
-func (c *client) printStatus(st serve.JobStatus) {
+func (c *client) printStatus(st sched.JobStatus) {
 	line := fmt.Sprintf("%s\t%s\t%s", st.ID, st.State, st.Job.Experiment)
 	if st.FromStore {
 		line += "\t(from store)"
 	}
-	if st.State == serve.StateDone && !st.FromStore {
+	if st.State == sched.StateDone && !st.FromStore {
 		line += fmt.Sprintf("\t%dms\t%d cells", st.ElapsedMS, st.Cells.Runs)
 	}
 	if st.Error != "" {
@@ -256,7 +257,7 @@ func (c *client) printStatus(st serve.JobStatus) {
 
 func (c *client) status(args []string) error {
 	if len(args) == 0 {
-		var all []serve.JobStatus
+		var all []sched.JobStatus
 		if err := c.api(http.MethodGet, "/api/v1/jobs", nil, &all); err != nil {
 			return err
 		}
@@ -265,7 +266,7 @@ func (c *client) status(args []string) error {
 		}
 		return nil
 	}
-	var st serve.JobStatus
+	var st sched.JobStatus
 	if err := c.api(http.MethodGet, "/api/v1/jobs/"+args[0], nil, &st); err != nil {
 		return err
 	}
@@ -278,13 +279,13 @@ func (c *client) wait(args []string) error {
 		return fmt.Errorf("usage: wait <job-id>")
 	}
 	for {
-		var st serve.JobStatus
+		var st sched.JobStatus
 		if err := c.api(http.MethodGet, "/api/v1/jobs/"+args[0], nil, &st); err != nil {
 			return err
 		}
 		if st.State.Terminal() {
 			c.printStatus(st)
-			if st.State != serve.StateDone {
+			if st.State != sched.StateDone {
 				os.Exit(1)
 			}
 			return nil
@@ -352,7 +353,7 @@ func (c *client) cancel(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: cancel <job-id>")
 	}
-	var st serve.JobStatus
+	var st sched.JobStatus
 	if err := c.api(http.MethodDelete, "/api/v1/jobs/"+args[0], nil, &st); err != nil {
 		return err
 	}
@@ -365,7 +366,7 @@ func (c *client) quarantine(args []string) error {
 	if len(args) != 0 && !(len(args) == 1 && args[0] == "ls") {
 		return fmt.Errorf("usage: quarantine ls")
 	}
-	var jobs []serve.JobStatus
+	var jobs []sched.JobStatus
 	if err := c.api(http.MethodGet, "/api/v1/quarantine", nil, &jobs); err != nil {
 		return err
 	}
@@ -386,8 +387,8 @@ func (c *client) requeue(args []string) error {
 		return fmt.Errorf("usage: requeue <job-id>")
 	}
 	var out struct {
-		Quarantined serve.JobStatus `json:"quarantined"`
-		Requeued    serve.JobStatus `json:"requeued"`
+		Quarantined sched.JobStatus `json:"quarantined"`
+		Requeued    sched.JobStatus `json:"requeued"`
 	}
 	if err := c.api(http.MethodPost, "/api/v1/quarantine/"+args[0]+"/requeue", nil, &out); err != nil {
 		return err
@@ -568,8 +569,8 @@ func (c *client) clusterQuarantine(args []string) error {
 			return fmt.Errorf("job %q is not quarantined on any node", id)
 		}
 		var out struct {
-			Quarantined serve.JobStatus `json:"quarantined"`
-			Requeued    serve.JobStatus `json:"requeued"`
+			Quarantined sched.JobStatus `json:"quarantined"`
+			Requeued    sched.JobStatus `json:"requeued"`
 		}
 		if err := c.api(http.MethodPost, "/api/v1/cluster/quarantine/"+node+"/"+id+"/requeue", nil, &out); err != nil {
 			return err

@@ -14,6 +14,7 @@ import (
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/faultline"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -36,7 +37,7 @@ func newDaemon(t *testing.T) (*serve.Server, *httptest.Server) {
 		Manual:  true,
 		Backlog: 8,
 		Journal: filepath.Join(dir, "journal.jsonl"),
-		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
+		Compute: func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
 			return nil, &faultline.Fault{Op: "golden.compute", Detail: spec.Experiment, Kind: "error"}
 		},
 		MaxAttempts: 2,
@@ -58,13 +59,13 @@ func newDaemon(t *testing.T) (*serve.Server, *httptest.Server) {
 // lands in quarantine (two failing attempts under MaxAttempts=2).
 func quarantineOne(t *testing.T, srv *serve.Server) string {
 	t.Helper()
-	j, err := srv.Submit(serve.SubmitRequest{Experiment: "fig2"})
+	j, err := srv.Submit(sched.SubmitRequest{Experiment: "fig2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	id := j.Status().ID
 	for i := 0; i < 10; i++ {
-		if st, ok := srv.Status(id); ok && st.State == serve.StateQuarantined {
+		if st, ok := srv.Status(id); ok && st.State == sched.StateQuarantined {
 			return id
 		}
 		srv.RunNext()

@@ -21,7 +21,7 @@ import (
 	"time"
 
 	"sgxbounds/internal/bench"
-	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 )
 
 func chaosEnabled(t *testing.T) {
@@ -146,7 +146,7 @@ func TestClusterChaosSIGKILLConvergesByteIdentical(t *testing.T) {
 	}
 
 	// Submit through n1; route-or-serve stamps the owner.
-	req := serve.SubmitRequest{Experiment: "fig1"}
+	req := sched.SubmitRequest{Experiment: "fig1"}
 	st := submitVia(t, nodes[0].url, req)
 	owner, ok := byID[st.Node]
 	if !ok {
@@ -159,7 +159,7 @@ func TestClusterChaosSIGKILLConvergesByteIdentical(t *testing.T) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		js, err := jobStatusVia(t, owner.url, st.ID)
-		if err == nil && js.State == serve.StateRunning {
+		if err == nil && js.State == sched.StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -202,10 +202,10 @@ func TestClusterChaosSIGKILLConvergesByteIdentical(t *testing.T) {
 
 	// Exactly one adopted job must appear across the survivors and run to
 	// done; fig1 is real simulation, so be generous.
-	adopted := func() []serve.JobStatus {
-		var out []serve.JobStatus
+	adopted := func() []sched.JobStatus {
+		var out []sched.JobStatus
 		for _, n := range survivors {
-			var list []serve.JobStatus
+			var list []sched.JobStatus
 			getJSON(t, n.url+"/api/v1/jobs", &list)
 			for _, js := range list {
 				if js.RecoveredFrom == owner.id {
@@ -270,7 +270,7 @@ func TestClusterChaosSIGKILLConvergesByteIdentical(t *testing.T) {
 
 	// The cluster counters exist on /metrics with the contract names.
 	text := metricsText(t, recBase)
-	for _, name := range []string{"sgxd_peer_fetches_total", "sgxd_steals_total", "sgxd_cluster_jobs_recovered_total"} {
+	for _, name := range []string{"sgxd_peer_fetches_total", "sgxd_cluster_jobs_recovered_total"} {
 		if !strings.Contains(text, name) {
 			t.Errorf("/metrics missing %s", name)
 		}
@@ -291,11 +291,11 @@ func TestClusterChaosRollingRestartZeroLoss(t *testing.T) {
 	bin := buildSgxd(t)
 	nodes := startChaosCluster(t, bin, 3)
 
-	gridSpec := func(i int) serve.SubmitRequest {
-		return serve.SubmitRequest{Experiment: "grid", Workloads: []string{"histogram"},
+	gridSpec := func(i int) sched.SubmitRequest {
+		return sched.SubmitRequest{Experiment: "grid", Workloads: []string{"histogram"},
 			Policies: []string{"sgxbounds"}, Size: "XS", Threads: 1 + i}
 	}
-	var specs []serve.SubmitRequest
+	var specs []sched.SubmitRequest
 	submitBatch := func(front *chaosNode, n int) {
 		for i := 0; i < n; i++ {
 			req := gridSpec(len(specs))
@@ -444,14 +444,14 @@ func TestClusterChaosRollingRestartZeroLoss(t *testing.T) {
 	}
 }
 
-func jobStatusVia(t *testing.T, base, id string) (serve.JobStatus, error) {
+func jobStatusVia(t *testing.T, base, id string) (sched.JobStatus, error) {
 	t.Helper()
 	resp, err := http.Get(base + "/api/v1/jobs/" + id)
 	if err != nil {
-		return serve.JobStatus{}, err
+		return sched.JobStatus{}, err
 	}
 	defer resp.Body.Close()
-	var st serve.JobStatus
+	var st sched.JobStatus
 	if resp.StatusCode != http.StatusOK {
 		return st, fmt.Errorf("status %s", resp.Status)
 	}

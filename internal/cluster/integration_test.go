@@ -26,6 +26,7 @@ import (
 	"sgxbounds/internal/cluster"
 	"sgxbounds/internal/faultline"
 	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -114,7 +115,7 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 		Workers:     o.workers,
 		Faults:      o.faults,
 		MaxAttempts: o.maxAttempts,
-		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
+		Compute: func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
 			computes.Add(1)
 			if spec.Experiment == "table4" && poisonLeft.Add(-1) >= 0 {
 				panic("poison compute") // transient by classification: retries, then quarantine
@@ -123,7 +124,7 @@ func buildNode(t *testing.T, ln net.Listener, self cluster.Node, members []clust
 			case <-gate:
 			case <-ctx.Done():
 			}
-			return &serve.ResultBundle{Output: output(spec)}, nil
+			return &sched.ResultBundle{Output: output(spec)}, nil
 		},
 		Cluster: &serve.ClusterConfig{
 			Self:      self.ID,
@@ -232,7 +233,7 @@ func clusterStatus(t *testing.T, base string) cluster.Status {
 }
 
 // submitVia posts through the public submit endpoint (route-or-serve).
-func submitVia(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
+func submitVia(t *testing.T, base string, req sched.SubmitRequest) sched.JobStatus {
 	t.Helper()
 	return postSubmit(t, base+"/api/v1/jobs", req)
 }
@@ -240,12 +241,12 @@ func submitVia(t *testing.T, base string, req serve.SubmitRequest) serve.JobStat
 // submitPinned posts through the cluster-internal endpoint, which always
 // admits locally — how a forwarded, recovered, or stolen job arrives, and
 // how tests pin a job onto one specific node.
-func submitPinned(t *testing.T, base string, req serve.SubmitRequest) serve.JobStatus {
+func submitPinned(t *testing.T, base string, req sched.SubmitRequest) sched.JobStatus {
 	t.Helper()
 	return postSubmit(t, base+"/api/v1/cluster/submit", req)
 }
 
-func postSubmit(t *testing.T, url string, req serve.SubmitRequest) serve.JobStatus {
+func postSubmit(t *testing.T, url string, req sched.SubmitRequest) sched.JobStatus {
 	t.Helper()
 	raw, _ := json.Marshal(req)
 	resp, err := http.Post(url, "application/json", bytes.NewReader(raw))
@@ -257,7 +258,7 @@ func postSubmit(t *testing.T, url string, req serve.SubmitRequest) serve.JobStat
 		body, _ := io.ReadAll(resp.Body)
 		t.Fatalf("POST %s: %s: %s", url, resp.Status, body)
 	}
-	var st serve.JobStatus
+	var st sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -265,19 +266,19 @@ func postSubmit(t *testing.T, url string, req serve.SubmitRequest) serve.JobStat
 }
 
 // waitDone polls base for id until the job is done (proxying included).
-func waitDone(t *testing.T, base, id string) serve.JobStatus {
+func waitDone(t *testing.T, base, id string) sched.JobStatus {
 	t.Helper()
 	return waitDoneFor(t, base, id, 15*time.Second)
 }
 
-func waitDoneFor(t *testing.T, base, id string, timeout time.Duration) serve.JobStatus {
+func waitDoneFor(t *testing.T, base, id string, timeout time.Duration) sched.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var st serve.JobStatus
+		var st sched.JobStatus
 		code := getJSON(t, base+"/api/v1/jobs/"+id, &st)
 		if code == http.StatusOK && st.State.Terminal() {
-			if st.State != serve.StateDone {
+			if st.State != sched.StateDone {
 				t.Fatalf("job %s settled %s: %s", id, st.State, st.Error)
 			}
 			return st
@@ -328,10 +329,10 @@ func metricValue(text, name string) float64 {
 
 // distinctSpecs returns n submit requests with n distinct content
 // addresses (fig7 uses threads, so each thread count is its own digest).
-func distinctSpecs(n int) []serve.SubmitRequest {
-	specs := make([]serve.SubmitRequest, n)
+func distinctSpecs(n int) []sched.SubmitRequest {
+	specs := make([]sched.SubmitRequest, n)
 	for i := range specs {
-		specs[i] = serve.SubmitRequest{Experiment: "fig7", Threads: i + 1}
+		specs[i] = sched.SubmitRequest{Experiment: "fig7", Threads: i + 1}
 	}
 	return specs
 }
@@ -383,7 +384,7 @@ func TestRouteOrServeSpreadsAndProxies(t *testing.T) {
 // and reports a store hit.
 func TestPeerFetchReadThrough(t *testing.T) {
 	nodes := startCluster(t, 2, nil)
-	req := serve.SubmitRequest{Experiment: "fig2"}
+	req := sched.SubmitRequest{Experiment: "fig2"}
 
 	first := submitPinned(t, nodes[0].url, req)
 	waitDone(t, nodes[0].url, first.ID)
@@ -425,7 +426,7 @@ func TestPeerFetchBitflipSelfHeals(t *testing.T) {
 		}
 		return nodeOpts{}
 	})
-	req := serve.SubmitRequest{Experiment: "fig1"}
+	req := sched.SubmitRequest{Experiment: "fig1"}
 	want := output(req.Job().Canonical())
 
 	first := submitPinned(t, nodes[0].url, req)
@@ -450,53 +451,6 @@ func TestPeerFetchBitflipSelfHeals(t *testing.T) {
 	}
 }
 
-// TestWorkStealing pins the idle-thief path: with one node wedged on a
-// gated computation and a queue behind it, the idle peer lifts queued
-// specs, computes them, and the victim's own copies settle as store hits
-// fed back by peer fetch.
-func TestWorkStealing(t *testing.T) {
-	nodes := startCluster(t, 2, func(i int) nodeOpts {
-		if i == 0 {
-			return nodeOpts{workers: 1, gated: true}
-		}
-		return nodeOpts{}
-	})
-	victim, thief := nodes[0], nodes[1]
-
-	specs := distinctSpecs(3)
-	ids := make([]string, len(specs))
-	for i, req := range specs {
-		ids[i] = submitPinned(t, victim.url, req).ID
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for metricValue(metricsText(t, thief.url), "sgxd_steals_total") < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("thief never stole from a wedged victim")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	victim.release()
-	fromStore := 0
-	for i, id := range ids {
-		done := waitDone(t, victim.url, id)
-		if done.FromStore {
-			fromStore++
-		}
-		want := output(specs[i].Job().Canonical())
-		if got := fetchResult(t, victim.url, id); got != want {
-			t.Fatalf("job %s: %q, want %q", id, got, want)
-		}
-	}
-	if thief.computes.Load() < 1 {
-		t.Fatal("thief stole but never computed")
-	}
-	if fromStore == 0 {
-		t.Fatal("no victim job settled from the store; stolen results were not fed back")
-	}
-}
-
 // TestDeadNodeRecoveryExactlyOnce is the headline chaos property in
 // process form: a node holding unsettled jobs dies silently; after
 // DeadAfter missed heartbeats the elected survivor re-enqueues exactly
@@ -505,7 +459,7 @@ func TestWorkStealing(t *testing.T) {
 func TestDeadNodeRecoveryExactlyOnce(t *testing.T) {
 	nodes := startCluster(t, 3, func(i int) nodeOpts {
 		if i == 2 {
-			return nodeOpts{workers: 2, gated: true} // both jobs run wedged: unsettled, unstealable
+			return nodeOpts{workers: 2, gated: true} // both jobs run wedged: unsettled, none left queued
 		}
 		return nodeOpts{}
 	})
@@ -558,10 +512,10 @@ func TestDeadNodeRecoveryExactlyOnce(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	recovered := func() []serve.JobStatus {
-		var out []serve.JobStatus
+	recovered := func() []sched.JobStatus {
+		var out []sched.JobStatus
 		for _, n := range survivors {
-			var list []serve.JobStatus
+			var list []sched.JobStatus
 			getJSON(t, n.url+"/api/v1/jobs", &list)
 			for _, st := range list {
 				if st.RecoveredFrom == doomed.id {
@@ -616,8 +570,8 @@ func TestClusterEndpointsDisabledSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := serve.New(serve.Config{Store: st, Workers: 1,
-		Compute: func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
-			return &serve.ResultBundle{Output: output(spec)}, nil
+		Compute: func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
+			return &sched.ResultBundle{Output: output(spec)}, nil
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -628,7 +582,7 @@ func TestClusterEndpointsDisabledSingleNode(t *testing.T) {
 		t.Fatalf("cluster status on single node: HTTP %d, want 404", code)
 	}
 	// Ordinary submissions still work, without a node stamp.
-	stj := submitVia(t, ts.URL, serve.SubmitRequest{Experiment: "fig2"})
+	stj := submitVia(t, ts.URL, sched.SubmitRequest{Experiment: "fig2"})
 	if stj.Node != "" {
 		t.Fatalf("single-node job carries node stamp %q", stj.Node)
 	}

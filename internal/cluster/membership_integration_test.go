@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"sgxbounds/internal/cluster"
-	"sgxbounds/internal/serve"
+	"sgxbounds/internal/serve/sched"
 )
 
 // postJSON posts a JSON body and decodes the response, returning the code.
@@ -56,11 +56,11 @@ func sumMetric(t *testing.T, nodes []*testNode, name string) float64 {
 
 // waitTerminal polls until the job is terminal in any state (waitDone
 // fatals on non-done; quarantine tests need the parked state back).
-func waitTerminal(t *testing.T, base, id string, timeout time.Duration) serve.JobStatus {
+func waitTerminal(t *testing.T, base, id string, timeout time.Duration) sched.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
-		var st serve.JobStatus
+		var st sched.JobStatus
 		code := getJSON(t, base+"/api/v1/jobs/"+id, &st)
 		if code == http.StatusOK && st.State.Terminal() {
 			return st
@@ -149,7 +149,7 @@ func TestGracefulLeaveEvacuatesResults(t *testing.T) {
 	}
 	// Unsettled work pinned on the leaver: one runs wedged behind the
 	// gate, the rest queue behind it.
-	queued := []serve.SubmitRequest{
+	queued := []sched.SubmitRequest{
 		{Experiment: "fig7", Threads: 20},
 		{Experiment: "fig7", Threads: 21},
 		{Experiment: "fig7", Threads: 22},
@@ -198,7 +198,7 @@ func TestGracefulLeaveEvacuatesResults(t *testing.T) {
 
 	// Zero lost work: every spec — settled on survivors or handed off from
 	// the leaver's queue — resolves from the fleet store, byte-identical.
-	for _, req := range append(append([]serve.SubmitRequest{}, settled...), queued...) {
+	for _, req := range append(append([]sched.SubmitRequest{}, settled...), queued...) {
 		st := submitVia(t, survivors[0].url, req)
 		done := waitDoneFor(t, survivors[0].url, st.ID, 20*time.Second)
 		if !done.FromStore {
@@ -220,7 +220,7 @@ func TestEpochRaceSubmitsLandExactlyOnce(t *testing.T) {
 	joiner := startSoloNode(t, "n3", nodeOpts{workers: 2})
 
 	specs := distinctSpecs(20)
-	statuses := make([]serve.JobStatus, len(specs))
+	statuses := make([]sched.JobStatus, len(specs))
 	fronts := make([]*testNode, len(specs))
 	joinDone := make(chan error, 1)
 	for i, req := range specs {
@@ -259,12 +259,10 @@ func TestEpochRaceSubmitsLandExactlyOnce(t *testing.T) {
 		}
 	}
 
-	// Exactly once: across the whole fleet there is one job per submission
-	// — plus one shadow copy per work-steal, which the steal counter makes
-	// exact instead of flaky.
+	// Exactly once: across the whole fleet there is one job per submission.
 	total := 0
 	for _, n := range all {
-		var list []serve.JobStatus
+		var list []sched.JobStatus
 		getJSON(t, n.url+"/api/v1/jobs", &list)
 		for _, st := range list {
 			if keys[st.Key] {
@@ -272,10 +270,9 @@ func TestEpochRaceSubmitsLandExactlyOnce(t *testing.T) {
 			}
 		}
 	}
-	steals := int(sumMetric(t, all, "sgxd_steals_total"))
-	if total != len(specs)+steals {
-		t.Fatalf("fleet holds %d jobs for %d submissions (+%d steals): a submission was duplicated or lost during the epoch race",
-			total, len(specs), steals)
+	if total != len(specs) {
+		t.Fatalf("fleet holds %d jobs for %d submissions: a submission was duplicated or lost during the epoch race",
+			total, len(specs))
 	}
 }
 
@@ -293,14 +290,14 @@ func TestQuarantineFleetVisibilityAndRemoteRequeue(t *testing.T) {
 	})
 	holder, viewer := nodes[1], nodes[0]
 
-	req := serve.SubmitRequest{Experiment: "table4"}
+	req := sched.SubmitRequest{Experiment: "table4"}
 	st := submitPinned(t, holder.url, req)
-	if fin := waitTerminal(t, holder.url, st.ID, 30*time.Second); fin.State != serve.StateQuarantined {
+	if fin := waitTerminal(t, holder.url, st.ID, 30*time.Second); fin.State != sched.StateQuarantined {
 		t.Fatalf("poisoned job state = %s (%s), want quarantined", fin.State, fin.Error)
 	}
 
 	// The parked job must become visible from another node via gossip.
-	findDigest := func() []serve.JobStatus {
+	findDigest := func() []sched.JobStatus {
 		var rep cluster.QuarantineReport
 		if code := getJSON(t, viewer.url+"/api/v1/cluster/quarantine", &rep); code != http.StatusOK {
 			t.Fatalf("cluster quarantine: HTTP %d", code)
@@ -327,8 +324,8 @@ func TestQuarantineFleetVisibilityAndRemoteRequeue(t *testing.T) {
 	// Requeue from the viewer: the request proxies to the holder, the
 	// poison budget is exhausted, and the release runs clean.
 	var rel struct {
-		Quarantined serve.JobStatus `json:"quarantined"`
-		Requeued    serve.JobStatus `json:"requeued"`
+		Quarantined sched.JobStatus `json:"quarantined"`
+		Requeued    sched.JobStatus `json:"requeued"`
 	}
 	requeueURL := viewer.url + "/api/v1/cluster/quarantine/" + holder.id + "/" + st.ID + "/requeue"
 	if code := postJSON(t, requeueURL, map[string]string{}, &rel); code != http.StatusOK {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"time"
 
 	"sgxbounds/internal/serve/sched"
@@ -28,9 +27,9 @@ const (
 )
 
 // Beat is one heartbeat: liveness plus the piggybacked state the cluster
-// needs anyway — queue depth for bounded-load placement and steal-victim
-// selection, and the sender's unsettled (queued/running, i.e. journal-
-// replayable) jobs so survivors can re-enqueue them if the sender dies.
+// needs anyway — queue depth for bounded-load placement, and the sender's
+// unsettled (queued/running, i.e. journal-replayable) jobs so survivors
+// can re-enqueue them if the sender dies.
 // Nonce identifies the sender's boot incarnation: recovery runs at most
 // once per (node, nonce), and a restarted node arrives with a fresh nonce
 // and a clean slate.
@@ -219,23 +218,6 @@ func (c *Cluster) forwardSubmit(peer Node, tenant string, req sched.SubmitReques
 		return sched.JobStatus{}, err
 	}
 	return st, nil
-}
-
-// fetchSteal asks a straggling peer for queued jobs to shadow-compute.
-func (c *Cluster) fetchSteal(peer Node, max int) []sched.PendingJob {
-	resp, err := c.client.Get(peer.Addr + "/api/v1/cluster/steal?max=" + strconv.Itoa(max))
-	if err != nil {
-		return nil
-	}
-	defer drainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	var jobs []sched.PendingJob
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&jobs); err != nil {
-		return nil
-	}
-	return jobs
 }
 
 // ProxyJob forwards an HTTP request for a routed job (status, result,

@@ -11,7 +11,7 @@ import "sort"
 //
 // The scan is deliberately lazy and rate-limited: the manifest snapshots
 // on the first tick after the epoch change, then at most
-// Config.ReplicateMax keys move per heartbeat tick. A scan interrupted by
+// replicateMax keys move per heartbeat tick. A scan interrupted by
 // another epoch change simply restarts against the new ring (the cursor
 // state is an epoch-scoped field, reset by installViewLocked); keys
 // already pushed are deduplicated by the receiver's store, so a restart
@@ -51,7 +51,7 @@ func (c *Cluster) rebalanceOnce() {
 	c.mu.Unlock()
 
 	pushed := 0
-	for pushed < c.replicateMax {
+	for pushed < replicateMax {
 		c.mu.Lock()
 		if c.rebal != scan { // a newer epoch restarted the scan
 			c.mu.Unlock()

@@ -12,7 +12,7 @@ import (
 	"reflect"
 	"strings"
 
-	"sgxbounds/internal/serve"
+	jobsched "sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -29,7 +29,7 @@ func (nosyncHooks) NoSync() bool              { return true }
 // indeterminate (the client never heard back), so both the pre- and
 // post-transition worlds are legal after its recovery.
 type observation struct {
-	state serve.JobState
+	state jobsched.JobState
 	key   string
 }
 
@@ -104,7 +104,7 @@ func (o *oracle) observe(w *world) {
 			}
 		}
 		o.observed[st.ID] = observation{state: st.State, key: st.Key}
-		if st.State == serve.StateDone {
+		if st.State == jobsched.StateDone {
 			bundle, ok := w.srv.Result(st.ID)
 			if !ok {
 				o.fail("result-complete", fmt.Sprintf("job %s done with no result bundle", st.ID))
@@ -116,7 +116,7 @@ func (o *oracle) observe(w *world) {
 				return
 			}
 		}
-		if st.State == serve.StateQuarantined && st.RequeuedAs == "" {
+		if st.State == jobsched.StateQuarantined && st.RequeuedAs == "" {
 			if newID, ok := o.requeued[st.ID]; ok {
 				o.fail("requeue-exactly-once",
 					fmt.Sprintf("job %s releasable again after observed release as %s", st.ID, newID))
@@ -166,7 +166,7 @@ func (o *oracle) noteJournalImage(path string) {
 			if _, ok := must[rec.ID]; ok {
 				// A quarantine verdict parks the job: it must still be
 				// restored. Any other terminal state settles it.
-				must[rec.ID] = rec.State == string(serve.StateQuarantined)
+				must[rec.ID] = rec.State == string(jobsched.StateQuarantined)
 			}
 		case "requeued":
 			if _, ok := must[rec.ID]; ok {
@@ -284,14 +284,14 @@ func (o *oracle) checkReplayIdempotence(path string) {
 	if o.violation != nil {
 		return
 	}
-	jn1, r1, err := serve.OpenJournalHooked(path, nosyncHooks{})
+	jn1, r1, err := jobsched.OpenJournalHooked(path, nosyncHooks{})
 	if err != nil {
 		o.fail("replay-idempotent", fmt.Sprintf("first replay: %v", err))
 		return
 	}
 	jn1.Close()
 	b1, _ := os.ReadFile(path)
-	jn2, r2, err := serve.OpenJournalHooked(path, nosyncHooks{})
+	jn2, r2, err := jobsched.OpenJournalHooked(path, nosyncHooks{})
 	if err != nil {
 		o.fail("replay-idempotent", fmt.Sprintf("second replay: %v", err))
 		return
@@ -314,8 +314,8 @@ func (o *oracle) checkReplayIdempotence(path string) {
 	}
 }
 
-func normalizeReplay(jobs []serve.ReplayJob) []serve.ReplayJob {
-	out := make([]serve.ReplayJob, len(jobs))
+func normalizeReplay(jobs []jobsched.ReplayJob) []jobsched.ReplayJob {
+	out := make([]jobsched.ReplayJob, len(jobs))
 	for i, j := range jobs {
 		if !j.Quarantined {
 			j.Attempts = 0

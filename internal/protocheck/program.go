@@ -4,7 +4,7 @@ import (
 	"sync"
 
 	"sgxbounds/internal/bench"
-	"sgxbounds/internal/serve"
+	jobsched "sgxbounds/internal/serve/sched"
 )
 
 // OpKind is one actor operation.
@@ -46,7 +46,7 @@ func (k OpKind) String() string {
 // Op is one operation in an actor's script.
 type Op struct {
 	Kind OpKind
-	Req  serve.SubmitRequest // OpSubmit only
+	Req  jobsched.SubmitRequest // OpSubmit only
 }
 
 // Actor is one concurrent participant: a named script of operations.
@@ -103,9 +103,9 @@ func registerExperiments() {
 // requeue, GC, and both restart flavors.
 func Programs() []Program {
 	registerExperiments()
-	subA := serve.SubmitRequest{Experiment: expA}
-	subB := serve.SubmitRequest{Experiment: expB}
-	poison := serve.SubmitRequest{Experiment: expPoison}
+	subA := jobsched.SubmitRequest{Experiment: expA}
+	subB := jobsched.SubmitRequest{Experiment: expB}
+	poison := jobsched.SubmitRequest{Experiment: expPoison}
 	return []Program{
 		{
 			// Two clients race duplicate and distinct submissions against

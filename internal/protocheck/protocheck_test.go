@@ -6,7 +6,7 @@ import (
 	"os"
 	"testing"
 
-	"sgxbounds/internal/serve"
+	jobsched "sgxbounds/internal/serve/sched"
 )
 
 // -protocheck.budget caps total executions across the standard programs;
@@ -98,7 +98,7 @@ func TestSeededRegressionCaught(t *testing.T) {
 	p := Program{
 		Name: "seeded-meta-first",
 		Actors: []Actor{
-			{Name: "c1", Ops: []Op{{Kind: OpSubmit, Req: serve.SubmitRequest{Experiment: expA}}}},
+			{Name: "c1", Ops: []Op{{Kind: OpSubmit, Req: jobsched.SubmitRequest{Experiment: expA}}}},
 			{Name: "w", Ops: []Op{{Kind: OpRunNext}}},
 		},
 	}

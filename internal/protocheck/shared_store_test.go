@@ -2,9 +2,10 @@ package protocheck
 
 // The cluster's shared-truth configuration, modeled in-process: two
 // schedulers (two worlds, two journals) sit over ONE content-addressed
-// store, and both are handed the same digest. Work-stealing and dead-node
-// recovery both produce exactly this shape — the same spec queued on two
-// nodes whose stores converge — so the oracle here is the cluster's core
+// store, and both are handed the same digest. Dead-node recovery produces
+// exactly this shape — a survivor re-enqueues a spec the dead node
+// journaled, the dead node's own journal replays it on restart, and the
+// two nodes' stores converge — so the oracle here is the cluster's core
 // promise: settled-once per scheduler (nobody computes twice, and a
 // scheduler that sees the other's settled result serves it from the
 // store) and byte-identity (every served result is the canonical bytes,
@@ -23,7 +24,7 @@ import (
 	"testing"
 
 	"sgxbounds/internal/bench"
-	"sgxbounds/internal/serve"
+	jobsched "sgxbounds/internal/serve/sched"
 )
 
 // sharedScript is one node's moves: submit the contested digest, then two
@@ -62,7 +63,7 @@ func passiveSched() *sched {
 
 func TestSharedStoreSameDigestRaces(t *testing.T) {
 	registerExperiments()
-	req := serve.SubmitRequest{Experiment: expA}
+	req := jobsched.SubmitRequest{Experiment: expA}
 	orders := merges(sharedSteps, sharedSteps)
 	if len(orders) != 20 {
 		t.Fatalf("enumerated %d interleavings, want 20", len(orders))
@@ -81,7 +82,7 @@ func TestSharedStoreSameDigestRaces(t *testing.T) {
 	}
 }
 
-func runSharedExecution(t *testing.T, req serve.SubmitRequest, order []bool) {
+func runSharedExecution(t *testing.T, req jobsched.SubmitRequest, order []bool) {
 	t.Helper()
 	base := t.TempDir()
 	sharedStore := filepath.Join(base, "store")
@@ -90,7 +91,7 @@ func runSharedExecution(t *testing.T, req serve.SubmitRequest, order []bool) {
 	worlds := [2]*world{}
 	for i := range worlds {
 		i := i
-		counting := func(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
+		counting := func(ctx context.Context, spec bench.Job) (*jobsched.ResultBundle, error) {
 			computes[i]++
 			return stubCompute(ctx, spec)
 		}
@@ -142,7 +143,7 @@ func runSharedExecution(t *testing.T, req serve.SubmitRequest, order []bool) {
 		if !ok {
 			t.Fatalf("node %d lost job %s", i, ids[i])
 		}
-		if st.State != serve.StateDone {
+		if st.State != jobsched.StateDone {
 			t.Fatalf("node %d job %s ended %s, want done", i, ids[i], st.State)
 		}
 		bundle, ok := w.srv.Result(ids[i])
@@ -210,7 +211,7 @@ func runSharedExecution(t *testing.T, req serve.SubmitRequest, order []bool) {
 		for w.srv.RunNext() {
 		}
 		st := j.Status()
-		if st.State != serve.StateDone || !st.FromStore {
+		if st.State != jobsched.StateDone || !st.FromStore {
 			t.Errorf("node %d resubmission ended %s FromStore=%t, want done from store",
 				i, st.State, st.FromStore)
 		}

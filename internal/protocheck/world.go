@@ -13,6 +13,7 @@ import (
 	"sgxbounds/internal/faultline"
 	"sgxbounds/internal/protohook"
 	"sgxbounds/internal/serve"
+	jobsched "sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -26,11 +27,11 @@ func canonicalOutput(spec bench.Job) string {
 // stubCompute replaces the bench engine: instant, deterministic, and
 // poisonable. The poison experiment fails with an injected-fault error so
 // the server classifies it transient — the retry/quarantine path.
-func stubCompute(ctx context.Context, spec bench.Job) (*serve.ResultBundle, error) {
+func stubCompute(ctx context.Context, spec bench.Job) (*jobsched.ResultBundle, error) {
 	if spec.Experiment == expPoison {
 		return nil, &faultline.Fault{Op: "protocheck.compute", Detail: spec.Experiment, Kind: "error"}
 	}
-	return &serve.ResultBundle{Output: canonicalOutput(spec)}, nil
+	return &jobsched.ResultBundle{Output: canonicalOutput(spec)}, nil
 }
 
 // world is one execution's universe: a directory holding the store and
@@ -42,7 +43,7 @@ type world struct {
 	storeDir   string
 	journal    string
 	sched      *sched
-	compute    func(context.Context, bench.Job) (*serve.ResultBundle, error)
+	compute    func(context.Context, bench.Job) (*jobsched.ResultBundle, error)
 	srv        *serve.Server
 	st         *store.Store
 	breakOrder bool
@@ -59,7 +60,7 @@ func newWorld(dir string, s *sched, breakOrder bool) (*world, error) {
 // modeled in-process. compute, when non-nil, replaces stubCompute (the
 // shared-store checks count executions per scheduler).
 func newWorldAt(dir, storeDir string, s *sched, breakOrder bool,
-	compute func(context.Context, bench.Job) (*serve.ResultBundle, error)) (*world, error) {
+	compute func(context.Context, bench.Job) (*jobsched.ResultBundle, error)) (*world, error) {
 	if compute == nil {
 		compute = stubCompute
 	}

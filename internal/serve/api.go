@@ -18,57 +18,14 @@
 // simulator version — so equivalent requests share one store entry and a
 // simulator change can never serve stale tables.
 //
-// The scheduler vocabulary (SubmitRequest, JobStatus, ResultBundle, the
-// state and error sentinels) lives in sched and is re-exported here under
-// its historical names, so API clients (cmd/sgxctl, cmd/benchjson,
-// protocheck, the serve tests) are untouched by the layering.
+// The wire vocabulary (SubmitRequest, JobStatus, ResultBundle, the job
+// states and error sentinels) lives in sched, and API clients such as
+// cmd/sgxctl and cmd/benchjson import it from there. This package is the
+// HTTP transport that wires the layers, and the cluster when configured,
+// together.
 package serve
 
-import (
-	"sgxbounds/internal/bench"
-	"sgxbounds/internal/protohook"
-	"sgxbounds/internal/serve/sched"
-)
-
-// Scheduler-layer vocabulary, re-exported.
-type (
-	SubmitRequest = sched.SubmitRequest
-	JobState      = sched.JobState
-	JobStatus     = sched.JobStatus
-	CellStats     = sched.CellStats
-	ResultBundle  = sched.ResultBundle
-	Journal       = sched.Journal
-	Replay        = sched.Replay
-	ReplayJob     = sched.ReplayJob
-)
-
-const (
-	StateQueued      = sched.StateQueued
-	StateRunning     = sched.StateRunning
-	StateDone        = sched.StateDone
-	StateFailed      = sched.StateFailed
-	StateCanceled    = sched.StateCanceled
-	StateQuarantined = sched.StateQuarantined
-)
-
-// Error sentinels, re-exported as the same values so existing equality
-// checks (`err != serve.ErrShuttingDown`) keep holding.
-var (
-	ErrBacklogFull     = sched.ErrBacklogFull
-	ErrShuttingDown    = sched.ErrShuttingDown
-	ErrNoSuchJob       = sched.ErrNoSuchJob
-	ErrNotQuarantined  = sched.ErrNotQuarantined
-	ErrAlreadyRequeued = sched.ErrAlreadyRequeued
-)
-
-// OpenJournal opens (creating if needed) the journal at path and replays
-// it. See sched.OpenJournal.
-func OpenJournal(path string) (*Journal, Replay, error) { return sched.OpenJournal(path) }
-
-// OpenJournalHooked is OpenJournal with protocheck's yield hooks armed.
-func OpenJournalHooked(path string, hooks protohook.Hooks) (*Journal, Replay, error) {
-	return sched.OpenJournalHooked(path, hooks)
-}
+import "sgxbounds/internal/bench"
 
 // ExperimentInfo describes one runnable experiment for GET /api/v1/experiments.
 type ExperimentInfo struct {

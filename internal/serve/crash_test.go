@@ -15,6 +15,7 @@ import (
 
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/faultline"
+	"sgxbounds/internal/serve/sched"
 )
 
 // The crash suite exercises a real sgxd binary: build it, run it, kill it
@@ -85,7 +86,7 @@ func startSgxd(t *testing.T, bin, addr string, extra ...string) *exec.Cmd {
 	}
 }
 
-func postJob(t *testing.T, addr string, req SubmitRequest) JobStatus {
+func postJob(t *testing.T, addr string, req sched.SubmitRequest) sched.JobStatus {
 	t.Helper()
 	raw, _ := json.Marshal(req)
 	resp, err := http.Post("http://"+addr+"/api/v1/jobs", "application/json", bytes.NewReader(raw))
@@ -96,25 +97,25 @@ func postJob(t *testing.T, addr string, req SubmitRequest) JobStatus {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: %s", resp.Status)
 	}
-	var st JobStatus
+	var st sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func jobStatusAt(t *testing.T, addr, id string) (JobStatus, error) {
+func jobStatusAt(t *testing.T, addr, id string) (sched.JobStatus, error) {
 	t.Helper()
 	resp, err := http.Get("http://" + addr + "/api/v1/jobs/" + id)
 	if err != nil {
-		return JobStatus{}, err
+		return sched.JobStatus{}, err
 	}
 	defer resp.Body.Close()
-	var st JobStatus
+	var st sched.JobStatus
 	return st, json.NewDecoder(resp.Body).Decode(&st)
 }
 
-func waitDoneAt(t *testing.T, addr, id string, timeout time.Duration) JobStatus {
+func waitDoneAt(t *testing.T, addr, id string, timeout time.Duration) sched.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -156,13 +157,13 @@ func TestCrashRecoveryConvergesByteIdentical(t *testing.T) {
 	addr := freeAddr(t)
 
 	cmd := startSgxd(t, bin, addr, "-store", storeDir, "-journal", journal)
-	job := postJob(t, addr, SubmitRequest{Experiment: "fig1"})
+	job := postJob(t, addr, sched.SubmitRequest{Experiment: "fig1"})
 
 	// Let the sweep get properly underway, then kill without ceremony.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st, err := jobStatusAt(t, addr, job.ID)
-		if err == nil && st.State == StateRunning {
+		if err == nil && st.State == sched.StateRunning {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -180,7 +181,7 @@ func TestCrashRecoveryConvergesByteIdentical(t *testing.T) {
 	// its original ID and run to completion.
 	startSgxd(t, bin, addr, "-store", storeDir, "-journal", journal)
 	fin := waitDoneAt(t, addr, job.ID, 5*time.Minute)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("resumed job = %s (%s), want done", fin.State, fin.Error)
 	}
 	if !fin.Replayed {
@@ -219,7 +220,7 @@ func TestCrashPointInTornWriteWindow(t *testing.T) {
 
 	addr := freeAddr(t)
 	cmd := startSgxd(t, bin, addr, "-store", storeDir, "-journal", journal, "-faults", specPath)
-	job := postJob(t, addr, SubmitRequest{Experiment: "table4"})
+	job := postJob(t, addr, sched.SubmitRequest{Experiment: "table4"})
 
 	// The crash point fires during the job's persist; the process must die
 	// with the SIGKILL-equivalent exit code.
@@ -237,7 +238,7 @@ func TestCrashPointInTornWriteWindow(t *testing.T) {
 
 	startSgxd(t, bin, addr, "-store", storeDir, "-journal", journal)
 	fin := waitDoneAt(t, addr, job.ID, 2*time.Minute)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("resumed job = %s (%s), want done", fin.State, fin.Error)
 	}
 	var want bytes.Buffer

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sgxbounds/internal/bench"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -49,7 +50,7 @@ func TestDefaultEPCBytesResolvedAtAdmission(t *testing.T) {
 		s.Shutdown(ctx)
 	}()
 
-	run := func(req SubmitRequest) JobStatus {
+	run := func(req sched.SubmitRequest) sched.JobStatus {
 		t.Helper()
 		j, err := s.Submit(req)
 		if err != nil {
@@ -57,12 +58,12 @@ func TestDefaultEPCBytesResolvedAtAdmission(t *testing.T) {
 		}
 		<-j.Done()
 		stat := j.Status()
-		if stat.State != StateDone {
+		if stat.State != sched.StateDone {
 			t.Fatalf("job ended %s: %s", stat.State, stat.Error)
 		}
 		return stat
 	}
-	output := func(stat JobStatus) string {
+	output := func(stat sched.JobStatus) string {
 		t.Helper()
 		res, ok := s.Result(stat.ID)
 		if !ok {
@@ -71,18 +72,18 @@ func TestDefaultEPCBytesResolvedAtAdmission(t *testing.T) {
 		return res.Output
 	}
 
-	defaulted := run(SubmitRequest{Experiment: "echo-epc"})
+	defaulted := run(sched.SubmitRequest{Experiment: "echo-epc"})
 	if got := output(defaulted); got != "epc=2097152\n" {
 		t.Errorf("defaulted submission ran with %q, want epc=2097152", got)
 	}
 	if defaulted.Job.EPCBytes != 2<<20 {
 		t.Errorf("canonical job carries EPCBytes=%d, want the resolved default", defaulted.Job.EPCBytes)
 	}
-	if want := (SubmitRequest{Experiment: "echo-epc", EPCBytes: 2 << 20}).StoreKey(); defaulted.Key != want {
+	if want := (sched.SubmitRequest{Experiment: "echo-epc", EPCBytes: 2 << 20}).StoreKey(); defaulted.Key != want {
 		t.Errorf("store key %s does not match the resolved request's key %s", defaulted.Key, want)
 	}
 
-	explicit := run(SubmitRequest{Experiment: "echo-epc", EPCBytes: 4 << 20})
+	explicit := run(sched.SubmitRequest{Experiment: "echo-epc", EPCBytes: 4 << 20})
 	if got := output(explicit); got != "epc=4194304\n" {
 		t.Errorf("explicit submission ran with %q, want epc=4194304", got)
 	}

@@ -37,13 +37,13 @@ func newLayeredServer(t *testing.T, cfg Config) (s *Server, computes *atomic.Int
 	}
 	gate := make(chan struct{})
 	var n atomic.Int64
-	cfg.Compute = func(ctx context.Context, spec bench.Job) (*ResultBundle, error) {
+	cfg.Compute = func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error) {
 		n.Add(1)
 		select {
 		case <-gate:
 		case <-ctx.Done():
 		}
-		return &ResultBundle{Output: "layered output for " + spec.Experiment + "\n"}, nil
+		return &sched.ResultBundle{Output: "layered output for " + spec.Experiment + "\n"}, nil
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -76,7 +76,7 @@ func TestMassiveCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, coalesced, err := s.Admit("herd", SubmitRequest{Experiment: "fig2"})
+			j, coalesced, err := s.Admit("herd", sched.SubmitRequest{Experiment: "fig2"})
 			if err != nil {
 				failures.Add(1)
 				return
@@ -142,7 +142,7 @@ func TestHTTPCoalescingByteIdentical(t *testing.T) {
 				t.Errorf("post %d: %s (%s)", i, resp.Status, body)
 				return
 			}
-			var st JobStatus
+			var st sched.JobStatus
 			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 				t.Errorf("decode %d: %v", i, err)
 				return
@@ -324,15 +324,15 @@ func TestCacheTierServesWarmHits(t *testing.T) {
 	defer ts.Close()
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 
-	first := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	first := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 	fin := waitTerminal(t, ts, first.ID, 60*time.Second)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("first run = %s (%s)", fin.State, fin.Error)
 	}
 
-	second := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	second := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 	fin2 := waitTerminal(t, ts, second.ID, 10*time.Second)
-	if fin2.State != StateDone || !fin2.FromStore {
+	if fin2.State != sched.StateDone || !fin2.FromStore {
 		t.Fatalf("resubmission = %+v, want done+from_store", fin2)
 	}
 	if fetchResult(t, ts, first.ID) != fetchResult(t, ts, second.ID) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -75,9 +76,9 @@ func TestStoreCorruptionRecovery(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s, ts := newTestServer(t, 1)
-			first := submit(t, ts, SubmitRequest{Experiment: "table4"})
+			first := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 			fin := waitTerminal(t, ts, first.ID, 60*time.Second)
-			if fin.State != StateDone {
+			if fin.State != sched.StateDone {
 				t.Fatalf("seed run: %s (%s)", fin.State, fin.Error)
 			}
 			original := fetchResult(t, ts, first.ID)
@@ -85,9 +86,9 @@ func TestStoreCorruptionRecovery(t *testing.T) {
 			dir := filepath.Join(s.store.Root(), first.Key[:2])
 			tc.damage(t, filepath.Join(dir, first.Key+".body"), filepath.Join(dir, first.Key+".json"))
 
-			second := submit(t, ts, SubmitRequest{Experiment: "table4"})
+			second := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 			fin2 := waitTerminal(t, ts, second.ID, 60*time.Second)
-			if fin2.State != StateDone {
+			if fin2.State != sched.StateDone {
 				t.Fatalf("recompute: %s (%s)", fin2.State, fin2.Error)
 			}
 			if fin2.FromStore {
@@ -99,9 +100,9 @@ func TestStoreCorruptionRecovery(t *testing.T) {
 
 			// The recompute re-persisted a verified entry: the next
 			// submission is warm again and still byte-identical.
-			third := submit(t, ts, SubmitRequest{Experiment: "table4"})
+			third := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 			fin3 := waitTerminal(t, ts, third.ID, 10*time.Second)
-			if fin3.State != StateDone || !fin3.FromStore {
+			if fin3.State != sched.StateDone || !fin3.FromStore {
 				t.Fatalf("post-recovery submission not warm: %+v", fin3)
 			}
 			if got := fetchResult(t, ts, third.ID); got != original {

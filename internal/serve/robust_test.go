@@ -15,6 +15,7 @@ import (
 
 	"sgxbounds/internal/bench"
 	"sgxbounds/internal/faultline"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -76,14 +77,14 @@ func metricsText(t *testing.T, ts *httptest.Server) string {
 	return string(raw)
 }
 
-func quarantineList(t *testing.T, ts *httptest.Server) []JobStatus {
+func quarantineList(t *testing.T, ts *httptest.Server) []sched.JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/api/v1/quarantine")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jobs []JobStatus
+	var jobs []sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&jobs); err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +100,9 @@ func TestRetryRecoversFromTransientFault(t *testing.T) {
 	}})
 	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 3})
 
-	st := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin := waitTerminal(t, ts, st.ID, 60*time.Second)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("state = %s (%s), want done after retry", fin.State, fin.Error)
 	}
 	if fin.Attempts != 2 {
@@ -128,9 +129,9 @@ func TestQuarantineAndRequeue(t *testing.T) {
 	}})
 	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 2})
 
-	st := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin := waitTerminal(t, ts, st.ID, 60*time.Second)
-	if fin.State != StateQuarantined {
+	if fin.State != sched.StateQuarantined {
 		t.Fatalf("state = %s (%s), want quarantined", fin.State, fin.Error)
 	}
 	if fin.Attempts != 2 || !strings.Contains(fin.Error, "faultline") {
@@ -154,8 +155,8 @@ func TestQuarantineAndRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	var rel struct {
-		Quarantined JobStatus `json:"quarantined"`
-		Requeued    JobStatus `json:"requeued"`
+		Quarantined sched.JobStatus `json:"quarantined"`
+		Requeued    sched.JobStatus `json:"requeued"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rel); err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestQuarantineAndRequeue(t *testing.T) {
 		t.Errorf("requeued_as = %q, want %q", rel.Quarantined.RequeuedAs, rel.Requeued.ID)
 	}
 	fin2 := waitTerminal(t, ts, rel.Requeued.ID, 60*time.Second)
-	if fin2.State != StateDone {
+	if fin2.State != sched.StateDone {
 		t.Fatalf("released job state = %s (%s)", fin2.State, fin2.Error)
 	}
 	if got, want := fetchResult(t, ts, fin2.ID), directOutput(t, "table4"); got != want {
@@ -197,9 +198,9 @@ func TestQuarantineAndRequeue(t *testing.T) {
 // quarantined with a deadline error — it never wedges the worker.
 func TestDeadlineQuarantinesWedgedJob(t *testing.T) {
 	_, ts := newFaultyServer(t, Config{MaxAttempts: 2})
-	st := submit(t, ts, SubmitRequest{Experiment: "sleepy", DeadlineMS: 150})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "sleepy", DeadlineMS: 150})
 	fin := waitTerminal(t, ts, st.ID, 30*time.Second)
-	if fin.State != StateQuarantined {
+	if fin.State != sched.StateQuarantined {
 		t.Fatalf("state = %s (%s), want quarantined", fin.State, fin.Error)
 	}
 	if fin.Attempts != 2 || !strings.Contains(fin.Error, "deadline") {
@@ -212,8 +213,8 @@ func TestDeadlineQuarantinesWedgedJob(t *testing.T) {
 // machinery must not reclassify an explicit abort.
 func TestUserCancelBeatsRetry(t *testing.T) {
 	_, ts := newFaultyServer(t, Config{MaxAttempts: 5})
-	st := submit(t, ts, SubmitRequest{Experiment: "sleepy"})
-	waitState(t, ts, st.ID, 5*time.Second, func(s JobState) bool { return s == StateRunning })
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "sleepy"})
+	waitState(t, ts, st.ID, 5*time.Second, func(s sched.JobState) bool { return s == sched.StateRunning })
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -221,7 +222,7 @@ func TestUserCancelBeatsRetry(t *testing.T) {
 	}
 	resp.Body.Close()
 	fin := waitTerminal(t, ts, st.ID, 10*time.Second)
-	if fin.State != StateCanceled {
+	if fin.State != sched.StateCanceled {
 		t.Fatalf("state = %s, want canceled", fin.State)
 	}
 }
@@ -237,15 +238,15 @@ func TestFaultedSweepConverges(t *testing.T) {
 	}})
 	_, ts := newFaultyServer(t, Config{Faults: inj, MaxAttempts: 2})
 
-	poisoned := submit(t, ts, SubmitRequest{Experiment: "table4"})
-	clean := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	poisoned := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
+	clean := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 
 	finP := waitTerminal(t, ts, poisoned.ID, 120*time.Second)
-	if finP.State != StateQuarantined {
+	if finP.State != sched.StateQuarantined {
 		t.Fatalf("poisoned job = %s (%s), want quarantined", finP.State, finP.Error)
 	}
 	finC := waitTerminal(t, ts, clean.ID, 120*time.Second)
-	if finC.State != StateDone {
+	if finC.State != sched.StateDone {
 		t.Fatalf("clean job = %s (%s), want done despite store faults", finC.State, finC.Error)
 	}
 	if got, want := fetchResult(t, ts, clean.ID), directOutput(t, "fig2"); got != want {
@@ -253,9 +254,9 @@ func TestFaultedSweepConverges(t *testing.T) {
 	}
 	// Resubmitting rolls the dice on faulted store reads again; whether it
 	// comes back warm or recomputed, the bytes must not change.
-	again := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	again := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 	finA := waitTerminal(t, ts, again.ID, 120*time.Second)
-	if finA.State != StateDone {
+	if finA.State != sched.StateDone {
 		t.Fatalf("resubmission = %s (%s)", finA.State, finA.Error)
 	}
 	if got, want := fetchResult(t, ts, again.ID), directOutput(t, "fig2"); got != want {
@@ -303,7 +304,7 @@ func TestJournalReplayResumesJobs(t *testing.T) {
 	_, ts := newFaultyServer(t, Config{Store: st, Journal: journal})
 
 	fin := waitTerminal(t, ts, "j000007", 60*time.Second)
-	if fin.State != StateDone || !fin.Replayed {
+	if fin.State != sched.StateDone || !fin.Replayed {
 		t.Fatalf("replayed job = %+v, want done+replayed", fin)
 	}
 	if got, want := fetchResult(t, ts, "j000007"), directOutput(t, "table4"); got != want {
@@ -311,14 +312,14 @@ func TestJournalReplayResumesJobs(t *testing.T) {
 	}
 
 	parked := getStatus(t, ts, "j000008")
-	if parked.State != StateQuarantined || parked.Error != "poison cell" || parked.Attempts != 3 {
+	if parked.State != sched.StateQuarantined || parked.Error != "poison cell" || parked.Attempts != 3 {
 		t.Fatalf("parked job = %+v, want quarantined(poison cell, 3)", parked)
 	}
 	if q := quarantineList(t, ts); len(q) != 1 || q[0].ID != "j000008" {
 		t.Errorf("quarantine list = %+v", q)
 	}
 
-	fresh := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	fresh := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	if fresh.ID <= "j000008" {
 		t.Errorf("fresh ID %s collides with replayed sequence", fresh.ID)
 	}
@@ -341,14 +342,14 @@ func TestJournalSettlesAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	job := submit(t, ts1, SubmitRequest{Experiment: "table4"})
+	job := submit(t, ts1, sched.SubmitRequest{Experiment: "table4"})
 	waitTerminal(t, ts1, job.ID, 60*time.Second)
 	ts1.Close()
 	if err := s1.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
-	_, replay, err := OpenJournal(journal)
+	_, replay, err := sched.OpenJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -245,11 +245,11 @@ func (s *Scheduler) Unsettled(max int) []PendingJob {
 	return s.pendingWhere(max, func(st JobState) bool { return !st.Terminal() })
 }
 
-// Stealable returns up to max jobs still waiting in the queue (no worker
-// has picked them up), in submission order — the set an idle cluster peer
-// may shadow-compute. Running jobs are excluded: their compute is already
-// paid for here, and a thief duplicating it buys nothing.
-func (s *Scheduler) Stealable(max int) []PendingJob {
+// Queued returns up to max jobs still waiting in the queue (no worker has
+// picked them up), in submission order — the set a leaving cluster node
+// hands off to the digests' new owners. Running jobs are excluded: they
+// settle here.
+func (s *Scheduler) Queued(max int) []PendingJob {
 	return s.pendingWhere(max, func(st JobState) bool { return st == StateQueued })
 }
 

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sgxbounds/internal/bench"
+	"sgxbounds/internal/serve/sched"
 	"sgxbounds/internal/serve/store"
 )
 
@@ -70,7 +71,7 @@ func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, req SubmitRequest) JobStatus {
+func submit(t *testing.T, ts *httptest.Server, req sched.SubmitRequest) sched.JobStatus {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
@@ -82,28 +83,28 @@ func submit(t *testing.T, ts *httptest.Server, req SubmitRequest) JobStatus {
 		raw, _ := io.ReadAll(resp.Body)
 		t.Fatalf("submit: %s: %s", resp.Status, raw)
 	}
-	var st JobStatus
+	var st sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func getStatus(t *testing.T, ts *httptest.Server, id string) JobStatus {
+func getStatus(t *testing.T, ts *httptest.Server, id string) sched.JobStatus {
 	t.Helper()
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st JobStatus
+	var st sched.JobStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func waitState(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, want func(JobState) bool) JobStatus {
+func waitState(t *testing.T, ts *httptest.Server, id string, timeout time.Duration, want func(sched.JobState) bool) sched.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
@@ -118,8 +119,8 @@ func waitState(t *testing.T, ts *httptest.Server, id string, timeout time.Durati
 	}
 }
 
-func waitTerminal(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) JobStatus {
-	return waitState(t, ts, id, timeout, JobState.Terminal)
+func waitTerminal(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) sched.JobStatus {
+	return waitState(t, ts, id, timeout, sched.JobState.Terminal)
 }
 
 func fetchResult(t *testing.T, ts *httptest.Server, id string) string {
@@ -142,9 +143,9 @@ func fetchResult(t *testing.T, ts *httptest.Server, id string) string {
 func TestServedBytesMatchSgxbench(t *testing.T) {
 	_, ts := newTestServer(t, 1)
 	for _, exp := range []string{"fig2", "table4"} {
-		st := submit(t, ts, SubmitRequest{Experiment: exp})
+		st := submit(t, ts, sched.SubmitRequest{Experiment: exp})
 		fin := waitTerminal(t, ts, st.ID, 60*time.Second)
-		if fin.State != StateDone {
+		if fin.State != sched.StateDone {
 			t.Fatalf("%s: state %s (%s)", exp, fin.State, fin.Error)
 		}
 		served := fetchResult(t, ts, st.ID)
@@ -165,18 +166,18 @@ func TestServedBytesMatchSgxbench(t *testing.T) {
 // cells.
 func TestWarmHitServedFromStore(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	first := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	first := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin1 := waitTerminal(t, ts, first.ID, 60*time.Second)
-	if fin1.State != StateDone || fin1.FromStore {
+	if fin1.State != sched.StateDone || fin1.FromStore {
 		t.Fatalf("first run: %+v", fin1)
 	}
 	if fin1.Cells.Runs == 0 {
 		t.Fatalf("first run simulated no cells: %+v", fin1.Cells)
 	}
 
-	second := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	second := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin2 := waitTerminal(t, ts, second.ID, 10*time.Second)
-	if fin2.State != StateDone || !fin2.FromStore {
+	if fin2.State != sched.StateDone || !fin2.FromStore {
 		t.Fatalf("second run not served from store: %+v", fin2)
 	}
 	if fin2.Cells.Runs != 0 || fin2.Cells.Hits != 0 {
@@ -190,9 +191,9 @@ func TestWarmHitServedFromStore(t *testing.T) {
 	}
 
 	// Force bypasses the store but must reproduce the same bytes.
-	forced := submit(t, ts, SubmitRequest{Experiment: "table4", Force: true})
+	forced := submit(t, ts, sched.SubmitRequest{Experiment: "table4", Force: true})
 	fin3 := waitTerminal(t, ts, forced.ID, 60*time.Second)
-	if fin3.State != StateDone || fin3.FromStore {
+	if fin3.State != sched.StateDone || fin3.FromStore {
 		t.Fatalf("forced run: %+v", fin3)
 	}
 	if got, want := fetchResult(t, ts, forced.ID), fetchResult(t, ts, first.ID); got != want {
@@ -211,9 +212,9 @@ func TestSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	job1 := submit(t, ts1, SubmitRequest{Experiment: "table4"})
+	job1 := submit(t, ts1, sched.SubmitRequest{Experiment: "table4"})
 	fin := waitTerminal(t, ts1, job1.ID, 60*time.Second)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("first server: %+v", fin)
 	}
 	original := fetchResult(t, ts1, job1.ID)
@@ -227,9 +228,9 @@ func TestSurvivesRestart(t *testing.T) {
 	}
 	ts2 := httptest.NewServer(s2.Handler())
 	defer func() { s2.Shutdown(context.Background()); ts2.Close() }()
-	job2 := submit(t, ts2, SubmitRequest{Experiment: "table4"})
+	job2 := submit(t, ts2, sched.SubmitRequest{Experiment: "table4"})
 	fin2 := waitTerminal(t, ts2, job2.ID, 10*time.Second)
-	if fin2.State != StateDone || !fin2.FromStore {
+	if fin2.State != sched.StateDone || !fin2.FromStore {
 		t.Fatalf("restarted server did not serve from store: %+v", fin2)
 	}
 	if got := fetchResult(t, ts2, job2.ID); got != original {
@@ -242,9 +243,9 @@ func TestSurvivesRestart(t *testing.T) {
 // result is identical to the original.
 func TestCorruptStoreRecomputes(t *testing.T) {
 	s, ts := newTestServer(t, 1)
-	first := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	first := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin := waitTerminal(t, ts, first.ID, 60*time.Second)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("first run: %+v", fin)
 	}
 	original := fetchResult(t, ts, first.ID)
@@ -259,9 +260,9 @@ func TestCorruptStoreRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	second := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	fin2 := waitTerminal(t, ts, second.ID, 60*time.Second)
-	if fin2.State != StateDone {
+	if fin2.State != sched.StateDone {
 		t.Fatalf("recompute: %+v", fin2)
 	}
 	if fin2.FromStore {
@@ -275,8 +276,8 @@ func TestCorruptStoreRecomputes(t *testing.T) {
 // TestCancelRunningJob: DELETE aborts a running job promptly.
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	st := submit(t, ts, SubmitRequest{Experiment: "sleepy"})
-	waitState(t, ts, st.ID, 5*time.Second, func(s JobState) bool { return s == StateRunning })
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "sleepy"})
+	waitState(t, ts, st.ID, 5*time.Second, func(s sched.JobState) bool { return s == sched.StateRunning })
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+st.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -286,7 +287,7 @@ func TestCancelRunningJob(t *testing.T) {
 	resp.Body.Close()
 	start := time.Now()
 	fin := waitTerminal(t, ts, st.ID, 5*time.Second)
-	if fin.State != StateCanceled {
+	if fin.State != sched.StateCanceled {
 		t.Fatalf("state = %s, want canceled", fin.State)
 	}
 	if d := time.Since(start); d > 3*time.Second {
@@ -307,9 +308,9 @@ func TestCancelRunningJob(t *testing.T) {
 // ever running.
 func TestCancelQueuedJob(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	running := submit(t, ts, SubmitRequest{Experiment: "sleepy"})
-	waitState(t, ts, running.ID, 5*time.Second, func(s JobState) bool { return s == StateRunning })
-	queued := submit(t, ts, SubmitRequest{Experiment: "sleepy", Force: true})
+	running := submit(t, ts, sched.SubmitRequest{Experiment: "sleepy"})
+	waitState(t, ts, running.ID, 5*time.Second, func(s sched.JobState) bool { return s == sched.StateRunning })
+	queued := submit(t, ts, sched.SubmitRequest{Experiment: "sleepy", Force: true})
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+queued.ID, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -326,7 +327,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	resp2.Body.Close()
 
 	fin := waitTerminal(t, ts, queued.ID, 5*time.Second)
-	if fin.State != StateCanceled {
+	if fin.State != sched.StateCanceled {
 		t.Fatalf("queued job state = %s, want canceled", fin.State)
 	}
 	if fin.StartedUnix != 0 {
@@ -349,8 +350,8 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	job := submit(t, ts, SubmitRequest{Experiment: "brief"})
-	waitState(t, ts, job.ID, 5*time.Second, func(js JobState) bool { return js == StateRunning })
+	job := submit(t, ts, sched.SubmitRequest{Experiment: "brief"})
+	waitState(t, ts, job.ID, 5*time.Second, func(js sched.JobState) bool { return js == sched.StateRunning })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -358,13 +359,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 		t.Fatalf("Shutdown: %v", err)
 	}
 	fin := getStatus(t, ts, job.ID)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("drained job state = %s (%s), want done", fin.State, fin.Error)
 	}
 	if _, _, ok := st.Get(fin.Key, bench.SimVersion); !ok {
 		t.Error("drained job's result not persisted")
 	}
-	if _, err := s.Submit(SubmitRequest{Experiment: "fig2"}); err != ErrShuttingDown {
+	if _, err := s.Submit(sched.SubmitRequest{Experiment: "fig2"}); err != sched.ErrShuttingDown {
 		t.Errorf("Submit after shutdown = %v, want ErrShuttingDown", err)
 	}
 }
@@ -373,7 +374,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // terminates when the job does.
 func TestProgressStreams(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	st := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/progress")
 	if err != nil {
 		t.Fatal(err)
@@ -387,12 +388,12 @@ func TestProgressStreams(t *testing.T) {
 		t.Errorf("progress stream missing final cell count:\n%s", raw)
 	}
 	fin := getStatus(t, ts, st.ID)
-	if fin.State != StateDone {
+	if fin.State != sched.StateDone {
 		t.Fatalf("job after progress stream: %s", fin.State)
 	}
 
 	// Warm submissions explain themselves in the progress stream too.
-	warm := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	warm := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	resp2, err := http.Get(ts.URL + "/api/v1/jobs/" + warm.ID + "/progress")
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +409,7 @@ func TestProgressStreams(t *testing.T) {
 // store-served job has none.
 func TestProfileDownload(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	st := submit(t, ts, SubmitRequest{Experiment: "table4", Trace: true})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "table4", Trace: true})
 	waitTerminal(t, ts, st.ID, 60*time.Second)
 	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/profile")
 	if err != nil {
@@ -423,7 +424,7 @@ func TestProfileDownload(t *testing.T) {
 		t.Fatalf("profile is not JSON: %v", err)
 	}
 
-	warm := submit(t, ts, SubmitRequest{Experiment: "table4"})
+	warm := submit(t, ts, sched.SubmitRequest{Experiment: "table4"})
 	waitTerminal(t, ts, warm.ID, 10*time.Second)
 	resp2, err := http.Get(ts.URL + "/api/v1/jobs/" + warm.ID + "/profile")
 	if err != nil {
@@ -438,7 +439,7 @@ func TestProfileDownload(t *testing.T) {
 // TestValidationAndRouting: API error paths.
 func TestValidationAndRouting(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	body, _ := json.Marshal(SubmitRequest{Experiment: "fig99"})
+	body, _ := json.Marshal(sched.SubmitRequest{Experiment: "fig99"})
 	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -492,7 +493,7 @@ func TestExperimentsEndpoint(t *testing.T) {
 // TestMetricsEndpoint: Prometheus exposition with the daemon counters.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, 1)
-	st := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 	waitTerminal(t, ts, st.ID, 30*time.Second)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -515,7 +516,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestGCEndpoint: POST /api/v1/gc reports the store sweep.
 func TestGCEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, 1)
-	st := submit(t, ts, SubmitRequest{Experiment: "fig2"})
+	st := submit(t, ts, sched.SubmitRequest{Experiment: "fig2"})
 	waitTerminal(t, ts, st.ID, 30*time.Second)
 	// Plant a stale-version entry for GC to reap.
 	staleKey := strings.Repeat("77", 32)

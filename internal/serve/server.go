@@ -95,7 +95,7 @@ type Config struct {
 	// persisted and served exactly like an engine result; errors are
 	// classified by the same transient rules (injected faults and panics
 	// retry, other errors fail the job). Production daemons leave it nil.
-	Compute func(ctx context.Context, spec bench.Job) (*ResultBundle, error)
+	Compute func(ctx context.Context, spec bench.Job) (*sched.ResultBundle, error)
 	// Manual disables the worker pool: jobs execute only when the owner
 	// calls RunNext, on the caller's goroutine. This is the deterministic
 	// drive protocheck schedules; production daemons leave it false.
@@ -103,9 +103,8 @@ type Config struct {
 
 	// Cluster, when non-nil, joins this daemon to a static multi-node
 	// cluster (internal/cluster): submissions route to each digest's
-	// owner, results replicate by verified peer-fetch read-through, idle
-	// nodes steal queued work from stragglers, and a dead node's journaled
-	// jobs are re-enqueued on survivors exactly once.
+	// owner, results replicate by verified peer-fetch read-through, and a
+	// dead node's journaled jobs are re-enqueued on survivors exactly once.
 	Cluster *ClusterConfig
 }
 
@@ -116,7 +115,6 @@ type ClusterConfig struct {
 	Nodes     []cluster.Node // full membership, including Self
 	Heartbeat time.Duration  // beat interval (default 1s)
 	DeadAfter int            // missed beats before a peer is dead (default 3)
-	StealMax  int            // queued jobs stolen per idle tick (default 1)
 }
 
 // Server is the sgxd daemon: a thin HTTP transport wiring the admission
@@ -234,7 +232,6 @@ func New(cfg Config) (*Server, error) {
 			Nodes:     cfg.Cluster.Nodes,
 			Heartbeat: cfg.Cluster.Heartbeat,
 			DeadAfter: cfg.Cluster.DeadAfter,
-			StealMax:  cfg.Cluster.StealMax,
 			Local:     clusterLocal{s},
 			Metrics:   metrics,
 			Faults:    cfg.Faults,
@@ -294,7 +291,7 @@ func (s *Server) ClusterStatus() (cluster.Status, bool) {
 // coalescing (coalesced=true means the returned job is shared with an
 // identical in-flight submission). This is the path POST /api/v1/jobs
 // takes; Submit bypasses admission entirely.
-func (s *Server) Admit(tenant string, req SubmitRequest) (j *sched.Job, coalesced bool, err error) {
+func (s *Server) Admit(tenant string, req sched.SubmitRequest) (j *sched.Job, coalesced bool, err error) {
 	if tenant == "" {
 		tenant = DefaultTenant
 	}
@@ -306,7 +303,7 @@ func (s *Server) Admit(tenant string, req SubmitRequest) (j *sched.Job, coalesce
 // coalescing, no quotas. In-process tests, cmd tooling, and protocheck
 // (whose duplicate-submit program needs two identical submissions to stay
 // two jobs) use it; HTTP traffic goes through Admit.
-func (s *Server) Submit(req SubmitRequest) (*sched.Job, error) {
+func (s *Server) Submit(req sched.SubmitRequest) (*sched.Job, error) {
 	s.applyDefaults(&req)
 	return s.sched.Submit(req)
 }
@@ -315,7 +312,7 @@ func (s *Server) Submit(req SubmitRequest) (*sched.Job, error) {
 // before it reaches admission or the scheduler, so the journaled request —
 // and therefore replay, compaction, and cluster forwarding — carries the
 // resolved values.
-func (s *Server) applyDefaults(req *SubmitRequest) {
+func (s *Server) applyDefaults(req *sched.SubmitRequest) {
 	if req.EPCBytes == 0 {
 		req.EPCBytes = s.defaultEPC
 	}
@@ -328,13 +325,13 @@ func (s *Server) applyDefaults(req *SubmitRequest) {
 func (s *Server) RunNext() bool { return s.sched.RunNext() }
 
 // Status returns the wire status of one job.
-func (s *Server) Status(id string) (JobStatus, bool) { return s.sched.Status(id) }
+func (s *Server) Status(id string) (sched.JobStatus, bool) { return s.sched.Status(id) }
 
 // List returns every job's status in submission order.
-func (s *Server) List() []JobStatus { return s.sched.List() }
+func (s *Server) List() []sched.JobStatus { return s.sched.List() }
 
 // Result returns a job's result bundle, if it finished with one.
-func (s *Server) Result(id string) (*ResultBundle, bool) { return s.sched.Result(id) }
+func (s *Server) Result(id string) (*sched.ResultBundle, bool) { return s.sched.Result(id) }
 
 // Cancel requests cancellation of a job; false means no such job. Like
 // DELETE /api/v1/jobs/{id}, cancelling a terminal job is a no-op.
@@ -343,11 +340,13 @@ func (s *Server) Cancel(id string) bool { return s.sched.Cancel(id) }
 // Quarantine returns the parked jobs awaiting operator action, in
 // submission order (released jobs drop off: their RequeuedAs points at the
 // replacement).
-func (s *Server) Quarantine() []JobStatus { return s.sched.Quarantine() }
+func (s *Server) Quarantine() []sched.JobStatus { return s.sched.Quarantine() }
 
 // Requeue releases a quarantined job by resubmitting its request as a
 // fresh job; see sched.Scheduler.Requeue.
-func (s *Server) Requeue(id string) (old, fresh JobStatus, err error) { return s.sched.Requeue(id) }
+func (s *Server) Requeue(id string) (old, fresh sched.JobStatus, err error) {
+	return s.sched.Requeue(id)
+}
 
 // Abort closes the journal without draining the queue — the in-process
 // equivalent of the machine losing power. Only protocheck's crash
@@ -367,7 +366,7 @@ func (s *Server) Abort() error {
 // everything else.
 type clusterLocal struct{ s *Server }
 
-func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
+func (l clusterLocal) Admit(tenant string, req sched.SubmitRequest, recoveredFrom string) (sched.JobStatus, error) {
 	j, coalesced, err := l.s.Admit(tenant, req)
 	if err != nil {
 		return sched.JobStatus{}, err
@@ -384,7 +383,7 @@ func (l clusterLocal) Admit(tenant string, req SubmitRequest, recoveredFrom stri
 
 func (l clusterLocal) Depth() (int, int)                    { return l.s.sched.Depth() }
 func (l clusterLocal) Unsettled(max int) []sched.PendingJob { return l.s.sched.Unsettled(max) }
-func (l clusterLocal) Stealable(max int) []sched.PendingJob { return l.s.sched.Stealable(max) }
+func (l clusterLocal) Queued(max int) []sched.PendingJob    { return l.s.sched.Queued(max) }
 func (l clusterLocal) Cancel(id string) bool                { return l.s.sched.Cancel(id) }
 func (l clusterLocal) BeginDrain()                          { l.s.BeginDrain() }
 
@@ -437,7 +436,7 @@ func (l clusterLocal) HasLocal(key string) bool {
 
 // stampNode marks a locally-owned job status with this node's ID (cluster
 // mode only; single-node responses are unchanged).
-func (s *Server) stampNode(st *JobStatus) {
+func (s *Server) stampNode(st *sched.JobStatus) {
 	if s.cluster != nil {
 		st.Node = s.cluster.Self()
 	}
@@ -494,14 +493,12 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	// Cluster peer endpoints (404 outside cluster mode): node-to-node
 	// heartbeats, verified result fetch, owner-side submit, the
-	// steal-donation and re-replication seams, membership churn
-	// (join/leave), and the operator-facing membership and fleet-wide
-	// quarantine views.
+	// re-replication seam, membership churn (join/leave), and the
+	// operator-facing membership and fleet-wide quarantine views.
 	s.mux.HandleFunc("GET /api/v1/cluster/status", s.handleClusterStatus)
 	s.mux.HandleFunc("POST /api/v1/cluster/heartbeat", s.handleClusterHeartbeat)
 	s.mux.HandleFunc("GET /api/v1/cluster/results/{key}", s.handleClusterResult)
 	s.mux.HandleFunc("POST /api/v1/cluster/submit", s.handleClusterSubmit)
-	s.mux.HandleFunc("GET /api/v1/cluster/steal", s.handleClusterSteal)
 	s.mux.HandleFunc("POST /api/v1/cluster/join", s.handleClusterJoin)
 	s.mux.HandleFunc("POST /api/v1/cluster/leave", s.handleClusterLeave)
 	s.mux.HandleFunc("POST /api/v1/cluster/replicate", s.handleClusterReplicate)
@@ -526,7 +523,7 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 // only translates its verdicts onto the wire. 429-class rejections carry
 // Retry-After so well-behaved clients pace themselves.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
+	var req sched.SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -759,16 +756,16 @@ func (s *Server) handleRequeue(w http.ResponseWriter, r *http.Request) {
 func (s *Server) requeueByID(w http.ResponseWriter, id string) {
 	old, fresh, err := s.Requeue(id)
 	switch {
-	case errors.Is(err, ErrNoSuchJob):
+	case errors.Is(err, sched.ErrNoSuchJob):
 		writeError(w, http.StatusNotFound, "no such job %q", id)
-	case errors.Is(err, ErrNotQuarantined), errors.Is(err, ErrAlreadyRequeued):
+	case errors.Is(err, sched.ErrNotQuarantined), errors.Is(err, sched.ErrAlreadyRequeued):
 		writeError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, ErrBacklogFull), errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, sched.ErrBacklogFull), errors.Is(err, sched.ErrShuttingDown):
 		writeError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, map[string]JobStatus{
+		writeJSON(w, http.StatusOK, map[string]sched.JobStatus{
 			"quarantined": old,
 			"requeued":    fresh,
 		})
@@ -834,7 +831,7 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.requireCluster(w) {
 		return
 	}
-	var req SubmitRequest
+	var req sched.SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
@@ -853,23 +850,6 @@ func (s *Server) handleClusterSubmit(w http.ResponseWriter, r *http.Request) {
 	st := j.Status()
 	s.stampNode(&st)
 	writeJSON(w, http.StatusCreated, st)
-}
-
-func (s *Server) handleClusterSteal(w http.ResponseWriter, r *http.Request) {
-	if !s.requireCluster(w) {
-		return
-	}
-	max := 1
-	if q := r.URL.Query().Get("max"); q != "" {
-		if n, err := strconv.Atoi(q); err == nil && n > 0 {
-			max = n
-		}
-	}
-	jobs := s.cluster.Donate(max)
-	if jobs == nil {
-		jobs = []sched.PendingJob{}
-	}
-	writeJSON(w, http.StatusOK, jobs)
 }
 
 // handleClusterJoin admits membership churn. Two body forms share the
