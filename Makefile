@@ -2,13 +2,14 @@
 # It is what CI and reviewers run; `go build ./... && go test ./...` is the
 # historical minimum, plus vet and a short race pass over the packages with
 # real host concurrency (the bench engine's worker pool, the simulated
-# machine it fans cells over, and the sgxd job queue/store).
+# machine it fans cells over, and the sgxd job queue/store). The perfbench
+# module is vetted and tested on its own (perfbench-test).
 
 GO ?= go
 
-.PHONY: ci vet build test race test-race-full chaos cluster-smoke membership-smoke stress-smoke bench bench-json golden drift experiments load
+.PHONY: ci vet build test race perfbench-test test-race-full chaos cluster-smoke membership-smoke stress-smoke bench golden drift experiments load
 
-ci: vet build test race
+ci: vet build test race perfbench-test
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,10 @@ test:
 # Short race pass: the packages where goroutines actually meet shared state.
 race:
 	$(GO) test -race -short ./internal/bench/ ./internal/machine/ ./internal/mem/ ./internal/harden/ ./internal/core/ ./internal/serve/... ./internal/cluster/
+
+# perfbench is its own Go module, so `./...` above never reaches it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full race sweep (slow; run before touching machine/bench concurrency).
 test-race-full:
@@ -65,21 +70,9 @@ protocheck:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# Record the benchmark sweep plus the sgxd cold/warm serving comparison,
-# the stress-kernel headline data (paging cliff, multitask sweep), and the
-# membership-churn submit-latency pair (3-node static vs join-under-load),
-# which merges into BENCH_cluster.json next to sgxload's 1node/3node runs.
-bench-json:
-	$(GO) test -run '^$$' -bench=. -benchmem ./... | $(GO) run ./cmd/benchjson -serve fig1 > BENCH_serve.json
-	@echo wrote BENCH_serve.json
-	$(GO) run ./cmd/benchjson -stress > BENCH_stress.json
-	@echo wrote BENCH_stress.json
-	$(GO) run ./cmd/benchjson -cluster-churn BENCH_cluster.json
-	@echo merged cluster churn runs into BENCH_cluster.json
-
 # Open-loop load run against a freshly booted sgxd on a cold store:
 # records submit-latency percentiles, the coalescing ratio, and the 429
-# rate into BENCH_load.json, and asserts the admission layer actually
+# rate into /tmp/sgxload.json, and asserts the admission layer actually
 # coalesced (ratio > 1) with zero 5xx. Same gate the CI load-smoke job
 # runs. The store must be cold — warm results finish instantly and leave
 # no window for identical submits to coalesce.
@@ -90,7 +83,7 @@ load:
 	/tmp/sgxd-load -addr 127.0.0.1:7484 -store /tmp/sgxd-load-store/store -jobs 2 & \
 	  pid=$$!; \
 	  /tmp/sgxload -addr http://127.0.0.1:7484 -rps 40 -duration 8s -mix 0.8 \
-	    -out BENCH_load.json -assert-coalescing -assert-no-5xx; rc=$$?; \
+	    -out /tmp/sgxload.json -assert-coalescing -assert-no-5xx; rc=$$?; \
 	  kill -TERM $$pid; wait $$pid; exit $$rc
 
 # Refresh the formatter golden files after an intended output change.

@@ -5,17 +5,15 @@
 // collapse, which closed-loop clients mask — with a configurable mix of
 // identical jobs (exercising single-flight coalescing) and distinct jobs
 // (exercising admission and the result tier), and records submit-latency
-// percentiles, the coalescing ratio, and the 429/5xx rates into a JSON
-// baseline (BENCH_load.json) that later PRs track SLOs against.
+// percentiles, the coalescing ratio, and the 429/5xx rates as a JSON
+// report on stdout (and in -out, when set).
 //
 // Cluster runs: -targets takes a comma-separated list of node URLs and
 // round-robins submissions across them, adding a per-target breakdown
 // (issued/accepted/429/retried/p50/p99) to the report. Transport failures
 // retry with bounded, jittered backoff — a node restarting during
 // membership churn briefly refuses connections, which is churn, not an
-// outage — and retried submissions are counted separately from errors. -label merges the report
-// under {"runs": {label: ...}} in -out instead of overwriting it, so one
-// file holds comparable runs (BENCH_cluster.json: "1node" vs "3node").
+// outage — and retried submissions are counted separately from errors.
 //
 // Exit status: 0 on a clean run, 1 when an -assert-* flag fails, 2 on
 // usage or connectivity errors.
@@ -38,7 +36,6 @@ import (
 type cliConfig struct {
 	addr      string
 	targets   string
-	label     string
 	rps       float64
 	duration  time.Duration
 	mix       float64
@@ -51,7 +48,7 @@ type cliConfig struct {
 	assertNo5xx      bool
 }
 
-// report is the BENCH_load.json schema.
+// report is the JSON document sgxload prints.
 type report struct {
 	Config struct {
 		Addr         string   `json:"addr"`
@@ -162,7 +159,6 @@ func run() int {
 	var cfg cliConfig
 	flag.StringVar(&cfg.addr, "addr", "http://localhost:8080", "sgxd base URL")
 	flag.StringVar(&cfg.targets, "targets", "", "comma-separated sgxd base URLs to round-robin across (cluster runs; overrides -addr)")
-	flag.StringVar(&cfg.label, "label", "", "merge the report under this key in {\"runs\":{...}} instead of overwriting -out")
 	flag.Float64Var(&cfg.rps, "rps", 50, "target submissions per second (open loop)")
 	flag.DurationVar(&cfg.duration, "duration", 10*time.Second, "how long to drive load")
 	flag.Float64Var(&cfg.mix, "mix", 0.8, "fraction of submissions that are the identical job (0..1); the rest cycle a distinct-job pool")
@@ -175,7 +171,7 @@ func run() int {
 		"request body for the identical share of the mix")
 	flag.StringVar(&cfg.tenant, "tenant", "sgxload", "tenant header value")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-request timeout")
-	flag.StringVar(&cfg.out, "out", "BENCH_load.json", "write the JSON report here (empty = stdout only)")
+	flag.StringVar(&cfg.out, "out", "", "write the JSON report here (empty = stdout only)")
 	flag.BoolVar(&cfg.assertCoalescing, "assert-coalescing", false, "exit 1 unless the coalescing ratio is > 1")
 	flag.BoolVar(&cfg.assertNo5xx, "assert-no-5xx", false, "exit 1 if any submission got a 5xx")
 	flag.Parse()
@@ -286,7 +282,7 @@ func run() int {
 	blob, _ := json.MarshalIndent(rep, "", "  ")
 	blob = append(blob, '\n')
 	if cfg.out != "" {
-		if err := writeReport(cfg, blob); err != nil {
+		if err := os.WriteFile(cfg.out, blob, 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "sgxload: write %s: %v\n", cfg.out, err)
 			return 2
 		}
@@ -306,30 +302,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sgxload: warning: %d transport errors\n", rep.Totals.Errors)
 	}
 	return code
-}
-
-// writeReport lands the JSON on disk. Plain mode overwrites -out with the
-// report; -label mode merges it under {"runs": {label: report}} so one
-// file accumulates comparable runs (the 1-node vs 3-node benchmark shape).
-func writeReport(cfg cliConfig, blob []byte) error {
-	if cfg.label == "" {
-		return os.WriteFile(cfg.out, blob, 0o644)
-	}
-	merged := struct {
-		Runs map[string]json.RawMessage `json:"runs"`
-	}{Runs: map[string]json.RawMessage{}}
-	if prev, err := os.ReadFile(cfg.out); err == nil {
-		json.Unmarshal(prev, &merged) // unreadable/legacy content starts fresh
-		if merged.Runs == nil {
-			merged.Runs = map[string]json.RawMessage{}
-		}
-	}
-	merged.Runs[cfg.label] = json.RawMessage(bytes.TrimSpace(blob))
-	out, err := json.MarshalIndent(merged, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.out, append(out, '\n'), 0o644)
 }
 
 func buildReport(cfg cliConfig, targets []string, outcomes []outcome, issued int, elapsed time.Duration) report {

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"sync"
 	"testing"
 
 	"sgxbounds/internal/machine"
@@ -122,12 +123,26 @@ func TestEngineCacheSharesCellsAcrossFigures(t *testing.T) {
 	}
 }
 
+// syncBuffer is a bytes.Buffer safe for the engine's concurrent
+// progress writes.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
 // TestEngineProgressReporting: the progress reporter sees every cell and
 // never contaminates the result writer.
 func TestEngineProgressReporting(t *testing.T) {
-	var progress bytes.Buffer
+	var sb syncBuffer
+	progress := &sb.buf
 	e := NewEngine(2)
-	e.Progress = &progress
+	e.Progress = &sb
 	var out bytes.Buffer
 	e.RunGrid(&out, mustWorkloads(t, "histogram"), []string{"sgx", "sgxbounds"},
 		workloads.XS, 1, machine.DefaultConfig())

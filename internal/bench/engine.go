@@ -38,7 +38,8 @@ type Engine struct {
 	// Progress, when non-nil, receives throttled progress lines (cells
 	// done / total, cells per second, simulated cycles by policy). Rates
 	// depend on wall clock, so Progress must not be mixed into the
-	// deterministic table output; commands point it at stderr.
+	// deterministic table output; commands point it at stderr. Workers
+	// write it concurrently, so it must be safe for concurrent use.
 	Progress io.Writer
 
 	// Telemetry, when non-nil, attaches a per-cell profile to every cell the

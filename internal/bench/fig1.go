@@ -91,9 +91,6 @@ func (e *Engine) RunSpeedtest(policy string, items uint32) Fig1Row {
 	return r
 }
 
-// Fig1 reproduces Figure 1 on a fresh engine; see Engine.Fig1.
-func Fig1(w io.Writer) map[uint32]map[string]Fig1Row { return NewEngine(0).Fig1(w) }
-
 // Fig1 reproduces Figure 1: SQLite speedtest performance and memory
 // overheads with increasing working-set items, inside the enclave.
 func (e *Engine) Fig1(w io.Writer) map[uint32]map[string]Fig1Row {

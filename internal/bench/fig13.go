@@ -176,11 +176,6 @@ var Fig13Clients = []int{1, 2, 4, 8, 16, 32}
 // Fig13Apps are the network case studies, in presentation order.
 var Fig13Apps = []string{"memcached", "apache", "nginx"}
 
-// Fig13 reproduces Figure 13 on a fresh engine; see Engine.Fig13.
-func Fig13(w io.Writer, requests int) map[string]map[string]AppResult {
-	return NewEngine(0).Fig13(w, requests)
-}
-
 // Fig13 reproduces Figure 13: throughput-latency behaviour and peak memory
 // usage of the three network case studies. The (app, policy) cells are
 // fanned across the engine's worker pool; output is byte-identical for

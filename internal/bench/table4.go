@@ -14,9 +14,6 @@ import (
 // order.
 var Table4Policies = []string{"sgx", "mpx", "asan", "sgxbounds", "baggy"}
 
-// Table4 reproduces the RIPE table on a fresh engine; see Engine.Table4.
-func Table4(w io.Writer) map[string]ripe.Summary { return NewEngine(0).Table4(w) }
-
 // Table4 reproduces the RIPE security benchmark results (§6.6): how many of
 // the 16 attacks that work under shielded execution each mechanism
 // prevents. Each mechanism's attack sweep is one independent cell on the

@@ -20,9 +20,8 @@
 //
 // The wire vocabulary (SubmitRequest, JobStatus, ResultBundle, the job
 // states and error sentinels) lives in sched, and API clients such as
-// cmd/sgxctl and cmd/benchjson import it from there. This package is the
-// HTTP transport that wires the layers, and the cluster when configured,
-// together.
+// cmd/sgxctl import it from there. This package is the HTTP transport
+// that wires the layers, and the cluster when configured, together.
 package serve
 
 import "sgxbounds/internal/bench"
